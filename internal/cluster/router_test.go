@@ -43,7 +43,13 @@ func startShardWrapped(t *testing.T, ln net.Listener, self string, ring *cluster
 	}
 	hs := &http.Server{Handler: h}
 	go hs.Serve(ln)
-	t.Cleanup(func() { hs.Close() })
+	// Close the listener first so no new job is accepted, then drain:
+	// a job accepted before the close may still be persisting into the
+	// data directory, which t.TempDir removes after this cleanup.
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Drain()
+	})
 	return srv
 }
 

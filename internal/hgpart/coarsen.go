@@ -22,15 +22,16 @@ type level struct {
 	map_   []int32 // fine vertex -> coarse vertex
 }
 
-// match pairs up vertices and returns the fine→coarse vertex map and the
-// number of coarse vertices. maxClusterWt bounds merged weights so no
-// coarse vertex becomes unplaceable under the balance constraint. The
-// mate and connectivity arrays come from sc; the returned vmap is always
-// freshly allocated because the caller keeps it per level.
-func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt int64, pl *pool.Pool, sc *Scratch) ([]int32, int) {
-	nv := h.NumVerts
-	mate, conn := sc.matchBuffers(nv)
-	order := sc.perm(rng, nv)
+// match pairs up vertices and returns the fine→coarse vertex map and
+// the coarse level's logical→physical label (its length is the number
+// of coarse vertices; see numberCoarse). maxClusterWt bounds merged
+// weights so no coarse vertex becomes unplaceable under the balance
+// constraint. The mate and connectivity arrays come from sc; vmap and
+// label are always freshly allocated because the caller keeps them per
+// level.
+func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt int64, pl *pool.Pool, sc *Scratch) (vmap, label []int32) {
+	mate, conn := sc.matchBuffers(h.NumVerts)
+	order := sc.perm(rng, h)
 
 	netLimit := cfg.MatchingNetLimit
 	if netLimit <= 0 {
@@ -41,29 +42,58 @@ func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt in
 	case cfg.RandomMatching:
 		matchRandom(h, order, mate, netLimit, maxClusterWt)
 	case cfg.Workers != 0:
-		matchProposal(h, order, mate, nil, netLimit, maxClusterWt, pl)
+		matchProposal(h, order, mate, nil, netLimit, maxClusterWt, pl, sc)
 	default:
 		matchHeavyConnectivity(h, order, mate, conn, netLimit, maxClusterWt)
 	}
+	return numberCoarse(mate, order)
+}
 
-	// Assign coarse ids; unmatched vertices map alone.
-	vmap := make([]int32, nv)
+// numberCoarse turns a matching into coarse vertex ids, consuming mate
+// (its entries are overwritten once read). Physically, coarse vertices
+// are numbered by their first fine vertex, so clusters of neighbouring
+// fine vertices stay neighbours and the coarse pin lists keep the fine
+// level's locality (random numbering would scatter every pin access of
+// the next level across arrays far larger than cache).
+// Logically, coarse vertex k is the k-th cluster the randomized order
+// reaches — the numbering coarse levels historically stored — and
+// label[k] is its physical id. Drawing every random order through the
+// label (levelPerm) makes each level behave exactly as it did under
+// that numbering, so the layout never changes a result bit.
+func numberCoarse(mate []int32, order []int) (vmap, label []int32) {
+	vmap = make([]int32, len(mate))
 	for i := range vmap {
 		vmap[i] = -1
 	}
 	next := int32(0)
-	for _, vi := range order {
-		v := int32(vi)
+	for v, m := range mate {
 		if vmap[v] >= 0 {
-			continue
+			continue // second fine vertex of an earlier cluster
 		}
 		vmap[v] = next
-		if m := mate[v]; m >= 0 && vmap[m] < 0 {
+		if m >= 0 {
 			vmap[m] = next
 		}
 		next++
 	}
-	return vmap, int(next)
+	// A cluster's first visit marks both its fine vertices consumed, so
+	// the visit of its second vertex is skipped.
+	const consumed = -2
+	label = make([]int32, next)
+	k := 0
+	for _, v := range order {
+		m := mate[v]
+		if m == consumed {
+			continue
+		}
+		label[k] = vmap[v]
+		k++
+		mate[v] = consumed
+		if m >= 0 {
+			mate[m] = consumed
+		}
+	}
+	return vmap, label
 }
 
 // matchHeavyConnectivity matches each unmatched vertex with the unmatched
@@ -140,7 +170,8 @@ func matchRandom(h *hypergraph.Hypergraph, order []int, mate []int32, netLimit i
 	}
 }
 
-// contract builds the coarse hypergraph induced by vmap: vertex weights
+// contract builds the coarse hypergraph induced by vmap and labelled by
+// label (len(label) coarse vertices; see numberCoarse): vertex weights
 // are summed, net pins are mapped and deduplicated, and nets that shrink
 // to a single pin are dropped (they can never be cut at this or any
 // coarser level). The coarse hypergraph's own arrays are freshly
@@ -150,12 +181,15 @@ func matchRandom(h *hypergraph.Hypergraph, order []int, mate []int32, netLimit i
 // runs in parallel over the pool; its output is bit-identical to the
 // sequential loop (see contractParallel), so turning workers on or off
 // never changes a partitioning result through this function.
-func contract(h *hypergraph.Hypergraph, vmap []int32, numCoarse int, cfg Config, pl *pool.Pool, sc *Scratch) *hypergraph.Hypergraph {
+func contract(h *hypergraph.Hypergraph, vmap, label []int32, cfg Config, pl *pool.Pool, sc *Scratch) *hypergraph.Hypergraph {
+	numCoarse := len(label)
 	// The two-pass parallel loop deduplicates every net twice; with a
 	// single-worker pool that is pure overhead for an identical result,
 	// so fall through to the sequential loop.
 	if cfg.Workers != 0 && pl.Workers() > 1 {
-		return contractParallel(h, vmap, numCoarse, pl, sc)
+		coarse := contractParallel(h, vmap, numCoarse, pl, sc)
+		coarse.Label = label
+		return coarse
 	}
 	wt := make([]int64, numCoarse)
 	for v := 0; v < h.NumVerts; v++ {
@@ -172,8 +206,8 @@ func contract(h *hypergraph.Hypergraph, vmap []int32, numCoarse int, cfg Config,
 		start := len(pins)
 		for _, v := range h.NetPins(n) {
 			cv := vmap[v]
-			if stamp[cv] != n {
-				stamp[cv] = n
+			if stamp[cv] != int32(n) {
+				stamp[cv] = int32(n)
 				pins = append(pins, cv)
 			}
 		}
@@ -189,7 +223,9 @@ func contract(h *hypergraph.Hypergraph, vmap []int32, numCoarse int, cfg Config,
 	outPins := append(make([]int32, 0, len(pins)), pins...)
 	sc.keepPins(pins)
 	sc.keepPtr(ptr)
-	return hypergraph.FromCSR(numCoarse, wt, netPtr, outPins)
+	coarse := hypergraph.FromCSR(numCoarse, wt, netPtr, outPins)
+	coarse.Label = label
+	return coarse
 }
 
 // contractParallel is the multi-goroutine formulation of contract. Nets
@@ -298,11 +334,11 @@ func coarsen(ctx context.Context, h *hypergraph.Hypergraph, eps float64, rng *ra
 		if ctx.Err() != nil {
 			break
 		}
-		vmap, numCoarse := match(cur, rng, cfg, maxClusterWt, pl, sc)
-		if float64(numCoarse) > stall*float64(cur.NumVerts) {
+		vmap, label := match(cur, rng, cfg, maxClusterWt, pl, sc)
+		if float64(len(label)) > stall*float64(cur.NumVerts) {
 			break // matching stalled; further levels would not shrink
 		}
-		coarse := contract(cur, vmap, numCoarse, cfg, pl, sc)
+		coarse := contract(cur, vmap, label, cfg, pl, sc)
 		levels = append(levels, level{coarse: coarse, map_: vmap})
 		cur = coarse
 	}

@@ -27,18 +27,18 @@ func TestContractParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 60, 50)
-		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
+		vmap, label := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
 
-		want := contract(h, vmap, numCoarse, Config{}, nil, nil)
+		want := contract(h, vmap, label, Config{}, nil, nil)
 		for _, workers := range []int{1, 2, 4, 7} {
 			pl := pool.New(workers)
-			got := contractParallel(h, vmap, numCoarse, pl, nil)
+			got := contractParallel(h, vmap, len(label), pl, nil)
 			if !equalHypergraphs(want, got) {
 				t.Fatalf("seed %d workers %d: parallel contraction diverged\nwant %v\ngot  %v",
 					seed, workers, want, got)
 			}
 			sc := &Scratch{}
-			got = contractParallel(h, vmap, numCoarse, pl, sc)
+			got = contractParallel(h, vmap, len(label), pl, sc)
 			if !equalHypergraphs(want, got) {
 				t.Fatalf("seed %d workers %d: scratch-backed parallel contraction diverged", seed, workers)
 			}
@@ -54,10 +54,10 @@ func TestContractParallelMatchesSequential(t *testing.T) {
 func TestContractDispatchesOnWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := randomHypergraph(rng, 50, 40)
-	vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
-	seq := contract(h, vmap, numCoarse, Config{}, nil, nil)
-	par := contract(h, vmap, numCoarse, Config{Workers: 3}, pool.New(3), nil)
-	if !equalHypergraphs(seq, par) {
+	vmap, label := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
+	seq := contract(h, vmap, label, Config{}, nil, nil)
+	par := contract(h, vmap, label, Config{Workers: 3}, pool.New(3), nil)
+	if !equalHypergraphs(seq, par) || !reflect.DeepEqual(seq.Label, label) || !reflect.DeepEqual(par.Label, label) {
 		t.Fatal("contract with Workers != 0 diverged from the sequential result")
 	}
 }

@@ -301,7 +301,7 @@ func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *po
 				}
 			}
 		}
-		for _, v := range sc.perm(rng, nv) {
+		for _, v := range sc.perm(rng, h) {
 			if bnd[v] {
 				buckets.insert(int32(v), s.parts[v], s.gainOf(int32(v)))
 				bnd[v] = false // restore the all-false invariant
@@ -319,7 +319,7 @@ func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *po
 		// so all gains can be computed concurrently; bucket insertion
 		// keeps the sequential order, making the buckets bit-identical to
 		// the inline loop below.
-		order := sc.perm(rng, nv)
+		order := sc.perm(rng, h)
 		gains := sc.gainBuf(nv)
 		pl.ForEach(nv, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
@@ -330,7 +330,7 @@ func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *po
 			buckets.insert(int32(v), s.parts[v], gains[v])
 		}
 	default:
-		for _, v := range sc.perm(rng, nv) {
+		for _, v := range sc.perm(rng, h) {
 			buckets.insert(int32(v), s.parts[v], s.gainOf(int32(v)))
 		}
 	}

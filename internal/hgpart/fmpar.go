@@ -68,7 +68,7 @@ func parallelFMOn(cfg Config) bool {
 // parts is overwritten with the winning bipartition; the winning cut
 // is returned.
 func refineRace(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool, sc *Scratch) int64 {
-	side := rand.New(rand.NewSource(raceSalt(parts)))
+	side := rand.New(rand.NewSource(raceSalt(h, parts)))
 	seeds := make([]int64, raceTries)
 	for t := 1; t < raceTries; t++ {
 		seeds[t] = side.Int63()
@@ -172,7 +172,7 @@ func speculativeRound(s *bipState, rng *rand.Rand, pl *pool.Pool, sc *Scratch) i
 	}
 	work := sc.boundaryWork()
 	defer func() { sc.keepBoundaryWork(work) }()
-	for _, v := range sc.perm(rng, nv) {
+	for _, v := range sc.perm(rng, h) {
 		if bnd[v] {
 			work = append(work, int32(v))
 			bnd[v] = false // restore the all-false invariant
@@ -234,22 +234,28 @@ func speculativeRound(s *bipState, rng *rand.Rand, pl *pool.Pool, sc *Scratch) i
 	return committed
 }
 
-// raceSalt hashes the input bipartition (FNV-1a) into the seed of the
-// extra racing tries' side stream. The salt is a pure function of call
-// state — independent of the pool and of the caller's RNG — so the
-// extra tries are deterministic per seed without moving a single draw
-// of the caller's stream off its serial-mode trajectory.
-func raceSalt(parts []int) int64 {
+// raceSalt hashes the input bipartition (FNV-1a), in logical vertex
+// order (see hypergraph.Hypergraph.Label), into the seed of the extra
+// racing tries' side stream. The salt is a pure function of call state
+// — independent of the pool, of the level's physical layout and of the
+// caller's RNG — so the extra tries are deterministic per seed without
+// moving a single draw of the caller's stream off its serial-mode
+// trajectory.
+func raceSalt(h *hypergraph.Hypergraph, parts []int) int64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	h := uint64(offset64)
-	for _, p := range parts {
-		h ^= uint64(uint8(p))
-		h *= prime64
+	x := uint64(offset64)
+	for l := range parts {
+		v := l
+		if h.Label != nil {
+			v = int(h.Label[l])
+		}
+		x ^= uint64(uint8(parts[v]))
+		x *= prime64
 	}
-	return int64(h >> 1)
+	return int64(x >> 1)
 }
 
 func minInt(a, b int) int {

@@ -87,6 +87,22 @@
 // multilevel run at the finest dimensions. Passes restore their
 // buffers on exit (buckets drained, locks and marks lowered via the
 // move log), so acquisition needs no O(nv) or O(numNets) clearing.
+//
+// # Locality-ordered levels
+//
+// Coarsening stores each coarse level's vertices in the order of their
+// first fine vertex (numberCoarse), so the pin lists of every level keep
+// the finest model's locality instead of pointing at random ids. The
+// numbering a random matching order would give is kept as the level's
+// logical ids, and hypergraph.Hypergraph.Label maps them to physical
+// ones (nil, the identity, on every model built from a matrix). Results
+// are bit-identical to partitioning the logically numbered level as
+// long as every caller keeps one invariant: random orders over a
+// level's vertices are drawn in logical ids through Label (levelPerm,
+// Scratch.perm), and anything hashed or compared across vertices
+// iterates them in logical order (raceSalt). Everything else — pin
+// scans, first-seen tie-breaks, projection — only follows pin lists and
+// those orders, and so is unaffected by the physical layout.
 package hgpart
 
 // gainBuckets is the classical FM bucket structure: a doubly linked list

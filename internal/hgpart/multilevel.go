@@ -299,7 +299,7 @@ func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int
 func randomAssign(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand) []int {
 	parts := make([]int, h.NumVerts)
 	var wt [2]int64
-	for _, v := range rng.Perm(h.NumVerts) {
+	for _, v := range levelPerm(rng, h) {
 		rem0 := maxW[0] - wt[0]
 		rem1 := maxW[1] - wt[1]
 		side := 0
@@ -333,7 +333,7 @@ func greedyGrow(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand) []int {
 	queue := make([]int32, 0, h.NumVerts)
 	var grown int64
 
-	seedOrder := rng.Perm(h.NumVerts)
+	seedOrder := levelPerm(rng, h)
 	si := 0
 	pushSeed := func() bool {
 		for si < len(seedOrder) {

@@ -147,7 +147,8 @@ func TestMatchProducesValidPairs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 30, 20)
-		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
+		vmap, label := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
+		numCoarse := len(label)
 		if numCoarse > h.NumVerts || numCoarse < (h.NumVerts+1)/2 {
 			return false
 		}
@@ -175,7 +176,8 @@ func TestMatchRandomProducesValidPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := randomHypergraph(rng, 40, 25)
 	cfg := ConfigAlt()
-	vmap, numCoarse := match(h, rng, cfg, h.TotalWeight(), nil, nil)
+	vmap, label := match(h, rng, cfg, h.TotalWeight(), nil, nil)
+	numCoarse := len(label)
 	counts := make([]int, numCoarse)
 	for _, cv := range vmap {
 		counts[cv]++
@@ -191,8 +193,9 @@ func TestContractPreservesWeightAndCut(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 20, 15)
-		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
-		coarse := contract(h, vmap, numCoarse, Config{}, nil, nil)
+		vmap, label := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
+		numCoarse := len(label)
+		coarse := contract(h, vmap, label, Config{}, nil, nil)
 		if coarse.Validate() != nil {
 			return false
 		}
@@ -222,7 +225,8 @@ func TestMatchRespectsClusterWeightCap(t *testing.T) {
 	b.AddNetInts([]int{0, 1})
 	h := b.Build()
 	rng := rand.New(rand.NewSource(2))
-	vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), 15, nil, nil)
+	vmap, label := match(h, rng, ConfigMondriaanLike(), 15, nil, nil)
+	numCoarse := len(label)
 	if numCoarse != 2 || vmap[0] == vmap[1] {
 		t.Fatal("cluster weight cap violated")
 	}

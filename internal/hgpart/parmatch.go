@@ -1,10 +1,11 @@
 package hgpart
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"mediumgrain/internal/hypergraph"
 	"mediumgrain/internal/pool"
+	"mediumgrain/internal/sparse"
 )
 
 // proposalRounds bounds the rounds of matchProposal. The greedy commit
@@ -29,27 +30,27 @@ const proposalRounds = 3
 // A non-nil sideOf restricts matching to vertices with equal sideOf
 // values — the restricted matching of V-cycle refinement, which must
 // never merge across the current bipartition.
-func matchProposal(h *hypergraph.Hypergraph, order []int, mate []int32, sideOf []int, netLimit int, maxClusterWt int64, pl *pool.Pool) {
+//
+// The rank and proposal arrays and the per-chunk connectivity counters
+// come from sc (nil allocates fresh), so the many small levels of a
+// recursive bisection pay no per-level allocation.
+func matchProposal(h *hypergraph.Hypergraph, order []int, mate []int32, sideOf []int, netLimit int, maxClusterWt int64, pl *pool.Pool, sc *Scratch) {
 	nv := h.NumVerts
+	rank, proposal, conns := sc.proposalBuffers(nv, pl.Workers())
 	// rank[v] is v's position in the randomized order; it is the
 	// deterministic tie-breaker replacing the sweep's first-seen rule.
-	rank := make([]int32, nv)
 	for i, v := range order {
 		rank[v] = int32(i)
 	}
-	proposal := make([]int32, nv)
-	// Scratch connectivity arrays are nv-sized; pool them so each worker
-	// allocates once across all rounds instead of per chunk per round.
-	scratch := sync.Pool{New: func() any {
-		s := make([]int32, nv)
-		return &s
-	}}
 
 	for round := 0; round < proposalRounds; round++ {
+		// ForEach runs at most pl.Workers() chunks; each claims its own
+		// connectivity counter slot.
+		var slot atomic.Int32
 		pl.ForEach(nv, func(lo, hi int) {
-			connp := scratch.Get().(*[]int32)
-			defer scratch.Put(connp)
-			conn := *connp // zeroed: every user resets touched entries
+			i := slot.Add(1) - 1
+			conns[i] = sparse.Resize(conns[i], nv)
+			conn := conns[i] // zeroed: every user resets touched entries
 			cand := make([]int32, 0, 64)
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)

@@ -51,7 +51,7 @@ func TestMatchProposalDeterministicAcrossPools(t *testing.T) {
 			mate[i] = -1
 		}
 		order := rand.New(rand.NewSource(7)).Perm(h.NumVerts)
-		matchProposal(h, order, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), pl)
+		matchProposal(h, order, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), pl, nil)
 		return mate
 	}
 	ref := runMatch(nil)
@@ -78,7 +78,7 @@ func TestMatchProposalMatchesMostVertices(t *testing.T) {
 		mate[i] = -1
 	}
 	order := rand.New(rand.NewSource(3)).Perm(h.NumVerts)
-	matchProposal(h, order, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), nil)
+	matchProposal(h, order, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), nil, nil)
 	matched := 0
 	for _, m := range mate {
 		if m >= 0 {
@@ -120,12 +120,12 @@ func TestBipartitionCapsPoolEquivalence(t *testing.T) {
 func TestConfigWorkersZeroKeepsLegacyMatching(t *testing.T) {
 	h := parmatchHypergraph(21, 500, 250, 5)
 	cfg := ConfigMondriaanLike()
-	run := func() ([]int32, int) {
+	run := func() ([]int32, []int32) {
 		return match(h, rand.New(rand.NewSource(5)), cfg, h.TotalWeight(), nil, nil)
 	}
-	vmapA, nA := run()
-	vmapB, nB := run()
-	if nA != nB || !reflect.DeepEqual(vmapA, vmapB) {
+	vmapA, labelA := run()
+	vmapB, labelB := run()
+	if !reflect.DeepEqual(labelA, labelB) || !reflect.DeepEqual(vmapA, vmapB) {
 		t.Error("legacy matching is not deterministic for a fixed seed")
 	}
 }

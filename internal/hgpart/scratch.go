@@ -15,11 +15,13 @@ import "mediumgrain/internal/sparse"
 // deliberately do not touch it. A nil *Scratch is valid everywhere and
 // means "allocate fresh", preserving the one-shot entry points.
 type Scratch struct {
-	// Matching.
-	mate []int32
-	conn []int32
+	// Matching: the mate array and zeroed connectivity counters, one per
+	// concurrently scanning chunk of proposal-round matching (conns[0]
+	// is also the sequential matchers' counter).
+	mate  []int32
+	conns [][]int32
 	// Contraction.
-	stamp []int
+	stamp []int32
 	pins  []int32
 	ctPtr []int32
 	// Parallel contraction (per-net sizes and pin offsets; written by
@@ -57,7 +59,8 @@ func (sc *Scratch) reserve(numVerts, numNets int) {
 		return
 	}
 	sc.mate = sparse.Resize(sc.mate, numVerts)
-	sc.conn = sparse.Resize(sc.conn, numVerts)
+	conns := sc.connSlots(1)
+	conns[0] = sparse.Resize(conns[0], numVerts)
 	sc.stamp = sparse.Resize(sc.stamp, numVerts)
 	sc.ctSizes = sparse.Resize(sc.ctSizes, numNets)
 	sc.ctOff = sparse.Resize(sc.ctOff, numNets)
@@ -93,16 +96,42 @@ func (sc *Scratch) matchBuffers(nv int) (mate, conn []int32) {
 	for i := range sc.mate {
 		sc.mate[i] = -1
 	}
-	sc.conn = sparse.Resize(sc.conn, nv)
-	clear(sc.conn)
-	return sc.mate, sc.conn
+	conns := sc.connSlots(1)
+	conns[0] = sparse.Resize(conns[0], nv)
+	clear(conns[0])
+	return sc.mate, conns[0]
+}
+
+// connSlots returns the connectivity-counter slots, at least n of them.
+// Each user sizes the slot it takes; counters are kept all-zero between
+// uses by their users, and growth hands out zeroed memory.
+func (sc *Scratch) connSlots(n int) [][]int32 {
+	for len(sc.conns) < n {
+		sc.conns = append(sc.conns, nil)
+	}
+	return sc.conns
+}
+
+// proposalBuffers returns matchProposal's rank and proposal arrays
+// (uninitialized: every entry is written before it is read) and its
+// connectivity-counter slots for up to workers concurrent chunks.
+// Matching never overlaps FM or contraction on one Scratch, so rank
+// borrows FM's gain buffer and proposal the contraction stamp (which
+// contractBuffers refills before use): the parallel matcher keeps no
+// per-vertex array of its own beyond one counter per extra worker.
+func (sc *Scratch) proposalBuffers(nv, workers int) (rank, proposal []int32, conns [][]int32) {
+	if sc == nil {
+		return make([]int32, nv), make([]int32, nv), make([][]int32, workers)
+	}
+	sc.stamp = sparse.Resize(sc.stamp, nv)
+	return sc.gainBuf(nv), sc.stamp, sc.connSlots(workers)
 }
 
 // contractBuffers returns the stamp array (filled with -1) and an empty
 // pin accumulator for contracting onto numCoarse vertices.
-func (sc *Scratch) contractBuffers(numCoarse int) (stamp []int, pins []int32) {
+func (sc *Scratch) contractBuffers(numCoarse int) (stamp []int32, pins []int32) {
 	if sc == nil {
-		stamp = make([]int, numCoarse)
+		stamp = make([]int32, numCoarse)
 		for i := range stamp {
 			stamp[i] = -1
 		}

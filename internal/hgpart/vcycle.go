@@ -62,12 +62,12 @@ func VCycleRefinePool(ctx context.Context, h *hypergraph.Hypergraph, parts []int
 		if ctx.Err() != nil {
 			break
 		}
-		vmap, numCoarse := matchRestricted(cur, curParts, rng, cfg, maxClusterWt, pl)
-		if float64(numCoarse) > stall*float64(cur.NumVerts) {
+		vmap, label := matchRestricted(cur, curParts, rng, cfg, maxClusterWt, pl)
+		if float64(len(label)) > stall*float64(cur.NumVerts) {
 			break
 		}
-		coarse := contract(cur, vmap, numCoarse, cfg, pl, nil)
-		cparts := make([]int, numCoarse)
+		coarse := contract(cur, vmap, label, cfg, pl, nil)
+		cparts := make([]int, len(label))
 		for v := 0; v < cur.NumVerts; v++ {
 			cparts[vmap[v]] = curParts[v]
 		}
@@ -99,42 +99,26 @@ func VCycleRefinePool(ctx context.Context, h *hypergraph.Hypergraph, parts []int
 // currently on the same side, so the partition projects exactly. With
 // cfg.Workers != 0 it delegates to the side-restricted proposal-round
 // matcher (fanning the proposal scans over pl); otherwise it keeps the
-// sequential greedy sweep.
-func matchRestricted(h *hypergraph.Hypergraph, parts []int, rng *rand.Rand, cfg Config, maxClusterWt int64, pl *pool.Pool) ([]int32, int) {
+// sequential greedy sweep. Coarse vertices are numbered like
+// unrestricted coarsening's (numberCoarse).
+func matchRestricted(h *hypergraph.Hypergraph, parts []int, rng *rand.Rand, cfg Config, maxClusterWt int64, pl *pool.Pool) (vmap, label []int32) {
 	nv := h.NumVerts
 	mate := make([]int32, nv)
 	for i := range mate {
 		mate[i] = -1
 	}
-	order := rng.Perm(nv)
+	order := levelPerm(rng, h)
 	netLimit := cfg.MatchingNetLimit
 	if netLimit <= 0 {
 		netLimit = defaultMatchingNetLimit
 	}
 
 	if cfg.Workers != 0 {
-		matchProposal(h, order, mate, parts, netLimit, maxClusterWt, pl)
+		matchProposal(h, order, mate, parts, netLimit, maxClusterWt, pl, nil)
 	} else {
 		matchRestrictedSweep(h, parts, order, mate, netLimit, maxClusterWt)
 	}
-
-	vmap := make([]int32, nv)
-	for i := range vmap {
-		vmap[i] = -1
-	}
-	next := int32(0)
-	for _, vi := range order {
-		v := int32(vi)
-		if vmap[v] >= 0 {
-			continue
-		}
-		vmap[v] = next
-		if m := mate[v]; m >= 0 && vmap[m] < 0 {
-			vmap[m] = next
-		}
-		next++
-	}
-	return vmap, int(next)
+	return numberCoarse(mate, order)
 }
 
 // matchRestrictedSweep is the sequential greedy restricted matching.

@@ -36,9 +36,9 @@ func TestVCycleRestrictedMatchingPreservesSides(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h := randomHypergraph(rng, 50, 30)
 	parts := randomBipartitionOf(rng, h)
-	vmap, numCoarse := matchRestricted(h, parts, rng, ConfigMondriaanLike(), h.TotalWeight(), nil)
+	vmap, label := matchRestricted(h, parts, rng, ConfigMondriaanLike(), h.TotalWeight(), nil)
 	// a coarse vertex's constituents must share a side
-	sideOf := make([]int, numCoarse)
+	sideOf := make([]int, len(label))
 	for i := range sideOf {
 		sideOf[i] = -1
 	}
@@ -123,8 +123,8 @@ func TestVCycleRestrictedProposalPreservesSides(t *testing.T) {
 	parts := randomBipartitionOf(rng, h)
 	cfg := ConfigMondriaanLike()
 	cfg.Workers = 3
-	vmap, numCoarse := matchRestricted(h, parts, rng, cfg, h.TotalWeight(), pool.New(3))
-	sideOf := make([]int, numCoarse)
+	vmap, label := matchRestricted(h, parts, rng, cfg, h.TotalWeight(), pool.New(3))
+	sideOf := make([]int, len(label))
 	for i := range sideOf {
 		sideOf[i] = -1
 	}

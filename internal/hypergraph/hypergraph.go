@@ -32,6 +32,15 @@ type Hypergraph struct {
 	VertPtr  []int32 // len NumVerts+1
 	VertNets []int32 // nets incident to each vertex
 
+	// Label maps logical vertex ids to physical ones: Label[l] is the
+	// stored (physical) index of logical vertex l. Coarse levels of the
+	// multilevel partitioner store their vertices in a cache-friendly
+	// order but keep the ids an earlier numbering gave them as logical
+	// ids, so every random order over the vertices is drawn in logical
+	// ids and mapped through Label. nil means identity, which is what
+	// every model built from a matrix carries.
+	Label []int32
+
 	// maxDegPlus1 / maxWtPlus1 cache MaxDegree()+1 and MaxVertWt()+1
 	// (0 = not yet computed). FM refinement asks for both once per pass;
 	// caching turns the repeated O(NumVerts) scans into field reads.
@@ -42,7 +51,7 @@ type Hypergraph struct {
 	maxWtPlus1  atomic.Int64
 }
 
-// Pins2 returns the pin list of net n.
+// NetPins returns the pin list of net n.
 func (h *Hypergraph) NetPins(n int) []int32 { return h.Pins[h.NetPtr[n]:h.NetPtr[n+1]] }
 
 // NetsOf returns the nets incident to vertex v.
@@ -263,7 +272,8 @@ func (h *Hypergraph) fillVertexIncidence(next []int32) {
 }
 
 // Validate checks structural invariants: pin ids in range, pointer
-// monotonicity, and incidence symmetry (total sizes match).
+// monotonicity, incidence symmetry (total sizes match), and that a
+// non-nil Label is a permutation of the vertices.
 func (h *Hypergraph) Validate() error {
 	if len(h.VertWt) != h.NumVerts {
 		return fmt.Errorf("hypergraph: weight slice len %d != NumVerts %d", len(h.VertWt), h.NumVerts)
@@ -290,6 +300,18 @@ func (h *Hypergraph) Validate() error {
 	for _, n := range h.VertNets {
 		if n < 0 || int(n) >= h.NumNets {
 			return fmt.Errorf("hypergraph: incident net %d out of range [0,%d)", n, h.NumNets)
+		}
+	}
+	if h.Label != nil {
+		if len(h.Label) != h.NumVerts {
+			return fmt.Errorf("hypergraph: Label len %d != NumVerts %d", len(h.Label), h.NumVerts)
+		}
+		seen := make([]bool, h.NumVerts)
+		for l, v := range h.Label {
+			if v < 0 || int(v) >= h.NumVerts || seen[v] {
+				return fmt.Errorf("hypergraph: Label[%d] = %d is not a permutation entry", l, v)
+			}
+			seen[v] = true
 		}
 	}
 	return nil

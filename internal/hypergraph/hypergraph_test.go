@@ -127,6 +127,17 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := h4.Validate(); err == nil {
 		t.Fatal("expected incident-net range error")
 	}
+	h5 := buildSample(t)
+	h5.Label = []int32{2, 0, 3, 1}
+	if err := h5.Validate(); err != nil {
+		t.Fatalf("permutation label rejected: %v", err)
+	}
+	for _, bad := range [][]int32{{0, 1, 2}, {0, 1, 1, 3}, {0, 1, 2, 4}} {
+		h5.Label = bad
+		if err := h5.Validate(); err == nil {
+			t.Fatalf("expected label error for %v", bad)
+		}
+	}
 }
 
 func TestConnectivityMinusOne(t *testing.T) {
